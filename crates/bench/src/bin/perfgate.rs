@@ -1,10 +1,9 @@
 //! Render the perf-drift baseline: per-stage profiles, the
 //! clean-vs-faulted diff, the full metric/counter export for the
-//! seeded retail stream, the engine's row-vs-batch tick totals per
-//! complexity rung, and execute-span cost bucketed by plan shape —
-//! every number a logical-tick cost, so the output is a pure function
-//! of the seed and `scripts/check_perf_drift.py` can compare it
-//! byte-for-byte against `scripts/perf_baseline_seed42.txt`. Any
+//! seeded retail stream, and execute-span cost bucketed by plan
+//! shape — every number a logical-tick cost, so the output is a pure
+//! function of the seed and `scripts/check_perf_drift.py` can compare
+//! it byte-for-byte against `scripts/perf_baseline_seed42.txt`. Any
 //! mismatch is a semantic change in pipeline work, never noise.
 //!
 //! ```text
@@ -15,10 +14,9 @@
 use std::env;
 use std::process::exit;
 
-use nlidb_bench::experiments::{engine_corpus_pass, faulted_regime_plan, traced_serve_run};
+use nlidb_bench::experiments::{faulted_regime_plan, traced_serve_run};
 use nlidb_benchdata::FaultPlan;
 use nlidb_obs::{attr_cost_breakdown, Profile, ProfileDiff};
-use nlidb_sqlir::ComplexityClass;
 
 const N: usize = 120;
 
@@ -44,17 +42,6 @@ fn main() {
     c_m.export_into(&c_obs.registry);
     f_m.export_into(&f_obs.registry);
 
-    let engine = engine_corpus_pass(seed);
-    let mut engine_text = String::new();
-    for (k, class) in ComplexityClass::all().iter().enumerate() {
-        engine_text.push_str(&format!(
-            "rung {} queries={} row={} batch={}\n",
-            class.label(),
-            engine.queries[k],
-            engine.row_ticks[k],
-            engine.batch_ticks[k]
-        ));
-    }
     let mut shape_text = String::new();
     for bucket in attr_cost_breakdown(&c_obs.sink.traces(), "execute", "plan_shape") {
         shape_text.push_str(&bucket.export_line());
@@ -67,7 +54,6 @@ fn main() {
          == diff faulted-clean ==\n{}\
          == metrics clean ==\n{}\
          == metrics faulted ==\n{}\
-         == engine row-vs-batch ==\n{engine_text}\
          == execute cost by plan shape ==\n{shape_text}",
         clean.export_text(),
         faulted.export_text(),

@@ -3,9 +3,10 @@
 //! [`explain`] walks the query AST against catalog row counts only —
 //! no data inspection, no RNG, no wall-clock — so the same (database,
 //! query) pair always renders the identical plan. Costs are quoted in
-//! the same logical-tick currency as the batch engine's cost model
-//! (vectorized operators amortize at `1 + n/64`, per-row fallbacks pay
-//! row rate), which makes `est_cost` a usable admission signal: `serve`
+//! logical cost units (a column-at-a-time operator over `n` rows counts
+//! `1 + n/64`, per-row work counts one unit per row). They rank plans
+//! against each other; they are not a time prediction. That makes
+//! `est_cost` a usable admission signal: `serve`
 //! sheds expensive plans first under pressure and enforces per-tenant
 //! cost ceilings against it (see `serve::TenantPolicy`).
 //!
@@ -24,7 +25,7 @@ pub struct Explain {
     pub shape: String,
     /// Estimated output rows.
     pub est_rows: u64,
-    /// Estimated logical cost in ticks.
+    /// Estimated cost in logical cost units.
     pub est_cost: u64,
     lines: Vec<String>,
 }
@@ -192,7 +193,7 @@ fn source_estimate(db: &Database, source: &TableSource, lines: &mut Vec<String>)
 }
 
 /// Estimate `q` against `db`: cardinalities from catalog row counts and
-/// coarse selectivities, cost in batch-engine logical ticks.
+/// coarse selectivities, cost in logical cost units.
 pub fn explain(db: &Database, q: &Query) -> Explain {
     let mut lines = Vec::new();
     let mut cost: u64 = 0;

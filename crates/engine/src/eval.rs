@@ -3,12 +3,13 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use nlidb_sqlir::ast::{AggFunc, BinOp, ColumnRef, Expr, Literal, Query, UnaryOp};
 
 use crate::catalog::Database;
 use crate::error::EngineError;
-use crate::exec::ResultSet;
+use crate::exec::{exec_query, ResultSet};
 use crate::value::Value;
 
 /// Column layout of a (possibly joined) relation: each binding is one
@@ -120,48 +121,46 @@ impl<'a> Scope<'a> {
     }
 }
 
-/// Sub-query dispatch used by the evaluator; implemented by the
-/// executor (`exec::ExecCtx`). Keyed caching of uncorrelated
-/// sub-queries lives behind this trait.
+/// Per-execution evaluation context: the database plus the cache of
+/// uncorrelated sub-query results.
 pub struct EvalCtx<'a> {
     /// The database queried.
     pub db: &'a Database,
-    /// Cache of uncorrelated sub-query results keyed by AST address.
-    pub sub_cache: RefCell<HashMap<usize, Option<ResultSet>>>,
-    /// Executor entry point (injected to avoid a module cycle).
-    pub exec: fn(&EvalCtx<'_>, &Query, Option<&Scope<'_>>) -> Result<ResultSet, EngineError>,
-    /// Logical work counter in *ticks*: one tick per row-wise operator
-    /// application, `1 + n/VECTOR_WIDTH` per vectorized column
-    /// operation (see [`crate::batch`]). Deterministic by construction
-    /// — no wall-clock — so tick totals are comparable across engines
-    /// and reproducible across runs.
-    pub ticks: std::cell::Cell<u64>,
+    /// Cache of uncorrelated sub-query results keyed by AST address;
+    /// `None` marks a sub-query known to be correlated.
+    pub sub_cache: RefCell<HashMap<usize, Option<Rc<ResultSet>>>>,
 }
 
 impl<'a> EvalCtx<'a> {
-    /// Charge `n` ticks of logical work.
-    pub fn charge(&self, n: u64) {
-        self.ticks.set(self.ticks.get().wrapping_add(n));
-    }
     /// Execute a sub-query, caching it when it proves uncorrelated.
     /// A sub-query is treated as correlated iff executing it *without*
-    /// the outer scope fails column resolution.
-    pub fn subquery(&self, q: &Query, scope: Option<&Scope<'_>>) -> Result<ResultSet, EngineError> {
+    /// the outer scope fails column resolution. Cached results are
+    /// shared, not cloned, across the outer rows that probe them.
+    pub fn subquery(
+        &self,
+        q: &Query,
+        scope: Option<&Scope<'_>>,
+    ) -> Result<Rc<ResultSet>, EngineError> {
         let key = q as *const Query as usize;
-        if let Some(cached) = self.sub_cache.borrow().get(&key) {
-            match cached {
-                Some(rs) => return Ok(rs.clone()),
-                None => return (self.exec)(self, q, scope), // known correlated
-            }
+        // Release the cache borrow before executing: the sub-query may
+        // reach nested sub-queries that fill the cache themselves.
+        let cached = self.sub_cache.borrow().get(&key).cloned();
+        match cached {
+            Some(Some(rs)) => return Ok(rs),
+            Some(None) => return exec_query(self, q, scope).map(Rc::new), // known correlated
+            None => {}
         }
-        match (self.exec)(self, q, None) {
+        match exec_query(self, q, None) {
             Ok(rs) => {
-                self.sub_cache.borrow_mut().insert(key, Some(rs.clone()));
+                let rs = Rc::new(rs);
+                self.sub_cache
+                    .borrow_mut()
+                    .insert(key, Some(Rc::clone(&rs)));
                 Ok(rs)
             }
             Err(EngineError::UnknownColumn(_)) if scope.is_some() => {
                 self.sub_cache.borrow_mut().insert(key, None);
-                (self.exec)(self, q, scope)
+                exec_query(self, q, scope).map(Rc::new)
             }
             Err(e) => Err(e),
         }
@@ -203,9 +202,6 @@ fn bool3(b: Option<bool>) -> Value {
 /// Evaluate a scalar expression against one row scope. Aggregate nodes
 /// are invalid here — use [`eval_grouped`] in aggregate contexts.
 pub fn eval(ctx: &EvalCtx<'_>, expr: &Expr, scope: &Scope<'_>) -> Result<Value, EngineError> {
-    // One tick per operator application: recursion charges each
-    // expression node applied to each row.
-    ctx.charge(1);
     match expr {
         Expr::Column(c) => scope.lookup(c),
         Expr::Literal(l) => Ok(literal_value(l)),
@@ -371,7 +367,7 @@ pub fn eval(ctx: &EvalCtx<'_>, expr: &Expr, scope: &Scope<'_>) -> Result<Value, 
     }
 }
 
-pub(crate) fn literal_value(l: &Literal) -> Value {
+fn literal_value(l: &Literal) -> Value {
     match l {
         Literal::Int(i) => Value::Int(*i),
         Literal::Float(f) => Value::Float(*f),
@@ -381,7 +377,7 @@ pub(crate) fn literal_value(l: &Literal) -> Value {
     }
 }
 
-pub(crate) fn binary_op(l: &Value, op: BinOp, r: &Value) -> Result<Value, EngineError> {
+fn binary_op(l: &Value, op: BinOp, r: &Value) -> Result<Value, EngineError> {
     use BinOp::*;
     match op {
         Eq => Ok(bool3(l.sql_eq(r))),
@@ -452,7 +448,6 @@ pub fn eval_grouped(
     group: &[&Vec<Value>],
     parent: Option<&Scope<'_>>,
 ) -> Result<Value, EngineError> {
-    ctx.charge(1);
     match expr {
         Expr::Agg {
             func,

@@ -85,48 +85,19 @@ impl ResultSet {
     }
 }
 
-/// Deterministic logical-work statistics for one execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExecStats {
-    /// Logical ticks charged: one per row-wise operator application,
-    /// `1 + n/64` per vectorized column operation (batch engine).
-    pub ticks: u64,
-}
-
-/// Execute `query` against `db` with the row-at-a-time reference
-/// engine. The default [`crate::execute`] entry point runs the batch
-/// engine; this one is kept as the semantics oracle (E18 asserts both
-/// agree over the full corpus).
-pub fn execute_rowwise(db: &Database, query: &Query) -> Result<ResultSet, EngineError> {
-    execute_rowwise_with_stats(db, query).map(|(rs, _)| rs)
-}
-
-/// Row engine entry point that also reports logical tick counts.
-pub fn execute_rowwise_with_stats(
-    db: &Database,
-    query: &Query,
-) -> Result<(ResultSet, ExecStats), EngineError> {
+/// Execute `query` against `db` with the row-at-a-time engine.
+pub fn execute(db: &Database, query: &Query) -> Result<ResultSet, EngineError> {
     let ctx = EvalCtx {
         db,
         sub_cache: RefCell::new(HashMap::new()),
-        exec: exec_entry,
-        ticks: std::cell::Cell::new(0),
     };
-    let rs = exec_query(&ctx, query, None)?;
-    Ok((
-        rs,
-        ExecStats {
-            ticks: ctx.ticks.get(),
-        },
-    ))
+    exec_query(&ctx, query, None)
 }
 
-fn exec_entry(
-    ctx: &EvalCtx<'_>,
-    q: &Query,
-    scope: Option<&Scope<'_>>,
-) -> Result<ResultSet, EngineError> {
-    exec_query(ctx, q, scope)
+/// The same engine as [`execute`]. Kept under this name because the
+/// wall-clock benchmark (`wallbench/src/probe.rs`) imports it.
+pub fn execute_rowwise(db: &Database, query: &Query) -> Result<ResultSet, EngineError> {
+    execute(db, query)
 }
 
 /// Materialized intermediate relation.
@@ -143,7 +114,6 @@ fn relation_of(
     match source {
         TableSource::Table { name, alias } => {
             let table = ctx.db.table(name)?;
-            ctx.charge(table.rows.len() as u64); // scan
             let mut schema = RelSchema::new();
             schema.push_binding(
                 alias.clone().unwrap_or_else(|| name.clone()),
@@ -175,7 +145,7 @@ fn relation_of(
 /// Split an ON condition into equi-join pairs (left index, right index)
 /// plus residual conjuncts. Returns `None` for the pairs when no
 /// equi-conjunct is found.
-pub(crate) fn split_equi(
+fn split_equi(
     on: &Expr,
     left: &RelSchema,
     right: &RelSchema,
@@ -257,7 +227,6 @@ fn do_join(
         // separator would let a separator byte *inside* a value shift
         // the key boundary (`("a\u{1f}", "b")` vs `("a", "\u{1f}b")`)
         // and fabricate equi-join matches.
-        ctx.charge((left.rows.len() + right.rows.len()) as u64); // build + probe
         let mut table: HashMap<Vec<String>, Vec<usize>> = HashMap::new();
         for (ri, rrow) in right.rows.iter().enumerate() {
             // NULL keys never match in SQL equi-joins.
@@ -293,7 +262,6 @@ fn do_join(
         }
     } else {
         // Theta join: nested loop.
-        ctx.charge((left.rows.len() * right.rows.len().max(1)) as u64);
         for lrow in &left.rows {
             let mut matched = false;
             for rrow in &right.rows {
@@ -313,7 +281,6 @@ fn do_join(
             }
         }
     }
-    ctx.charge(out_rows.len() as u64); // row materialization
     Ok(Relation {
         schema: combined,
         rows: out_rows,
@@ -321,7 +288,7 @@ fn do_join(
 }
 
 /// Output column name for a select item.
-pub(crate) fn item_name(item: &SelectItem) -> String {
+fn item_name(item: &SelectItem) -> String {
     match item {
         SelectItem::Wildcard => "*".to_string(),
         SelectItem::Expr { expr, alias } => match alias {
@@ -334,7 +301,7 @@ pub(crate) fn item_name(item: &SelectItem) -> String {
     }
 }
 
-fn exec_query(
+pub(crate) fn exec_query(
     ctx: &EvalCtx<'_>,
     q: &Query,
     outer: Option<&Scope<'_>>,
@@ -487,7 +454,6 @@ fn exec_query(
 
     // DISTINCT — row keys as `Vec<String>`, never joined.
     if q.distinct {
-        ctx.charge(produced.len() as u64);
         let mut seen: std::collections::HashSet<Vec<String>> = std::collections::HashSet::new();
         produced.retain(|(row, _)| {
             let key: Vec<String> = row.iter().map(Value::group_key).collect();
@@ -497,7 +463,6 @@ fn exec_query(
 
     // ORDER BY (stable).
     if !q.order_by.is_empty() {
-        ctx.charge(produced.len() as u64);
         let dirs: Vec<bool> = q.order_by.iter().map(|o| o.asc).collect();
         produced.sort_by(|(_, ka), (_, kb)| {
             for ((a, b), asc) in ka.iter().zip(kb).zip(&dirs) {
@@ -557,15 +522,8 @@ mod tests {
         db
     }
 
-    /// Run through BOTH engines and insist on byte-identical results —
-    /// every unit test in this module doubles as a batch-vs-row
-    /// equivalence check.
     fn run(db: &Database, sql: &str) -> ResultSet {
-        let q = parse_query(sql).unwrap();
-        let row = execute_rowwise(db, &q).unwrap();
-        let batch = crate::batch::execute(db, &q).unwrap();
-        assert_eq!(row, batch, "batch engine diverged from row engine: {sql}");
-        row
+        execute(db, &parse_query(sql).unwrap()).unwrap()
     }
 
     #[test]
@@ -720,11 +678,7 @@ mod tests {
         let q =
             parse_query("SELECT name FROM people JOIN pets ON people.id = pets.owner_id").unwrap();
         assert!(matches!(
-            execute_rowwise(&db, &q),
-            Err(EngineError::AmbiguousColumn(_))
-        ));
-        assert!(matches!(
-            crate::batch::execute(&db, &q),
+            execute(&db, &q),
             Err(EngineError::AmbiguousColumn(_))
         ));
     }
@@ -810,6 +764,20 @@ mod tests {
             "SELECT name FROM people WHERE id NOT IN (SELECT v FROM maybe)",
         );
         assert!(rs.rows.is_empty());
+    }
+
+    #[test]
+    fn nested_subquery_first_reached_inside_a_correlated_one() {
+        // Outer row 1 (ann, 34) short-circuits before the innermost
+        // scalar sub-query; row 2 (bob, 28) is the first to reach it,
+        // from inside an EXISTS body already cached as correlated.
+        let rs = run(
+            &db(),
+            "SELECT name FROM people AS p WHERE EXISTS \
+             (SELECT * FROM people AS q WHERE q.id = p.id AND p.age < 30 \
+              AND q.age >= (SELECT MIN(age) FROM people))",
+        );
+        assert_eq!(rs.rows.len(), 2); // bob + dan
     }
 
     #[test]
@@ -914,17 +882,6 @@ mod tests {
         let rs = run(&db, "SELECT v, COUNT(*) FROM t GROUP BY v");
         assert_eq!(rs.rows.len(), 1);
         assert_eq!(rs.rows[0][1], Value::Int(3));
-    }
-
-    #[test]
-    fn row_engine_reports_ticks() {
-        let db = db();
-        let q = parse_query("SELECT name FROM people WHERE age > 30").unwrap();
-        let (_, stats) = execute_rowwise_with_stats(&db, &q).unwrap();
-        // 4-row scan + per-row predicate evaluation + projection.
-        assert!(stats.ticks > 4, "ticks should count scan + eval work");
-        let (_, again) = execute_rowwise_with_stats(&db, &q).unwrap();
-        assert_eq!(stats, again, "tick accounting must be deterministic");
     }
 
     #[test]

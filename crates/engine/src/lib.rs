@@ -14,19 +14,14 @@
 //! including correlated forms — i.e. all four rungs of the survey's
 //! complexity ladder.
 //!
-//! Design: deterministic and single-threaded, with **two engines over
-//! one semantics**. The default [`execute`] runs the batch-vectorized
-//! columnar engine ([`batch`]): relations flow as column vectors,
-//! predicates/projections evaluate column-at-a-time, and hash join /
-//! hash aggregation key on vectorized per-column strings. The original
-//! row-at-a-time volcano-lite engine survives as
-//! [`execute_rowwise`](exec::execute_rowwise) — the semantics oracle
-//! the batch engine is asserted row-identical to (experiment E18).
-//! Hash joins are used for equi-join conjuncts; anything else falls
-//! back to nested loops. [`cost`] estimates cardinality and logical
-//! cost per plan ([`explain`]), feeding cost-aware admission upstream.
+//! Design: deterministic and single-threaded, one row-at-a-time
+//! executor ([`execute`]). Hash joins are used for equi-join
+//! conjuncts; anything else falls back to nested loops. Uncorrelated
+//! sub-queries run once per execution and their result is shared
+//! across the outer rows that probe it. [`cost`] estimates cardinality
+//! and logical cost per plan ([`explain`]) without executing it,
+//! feeding cost-aware admission upstream.
 
-pub mod batch;
 pub mod catalog;
 pub mod cost;
 pub mod error;
@@ -34,11 +29,10 @@ pub mod eval;
 pub mod exec;
 pub mod value;
 
-pub use batch::{execute, execute_with_stats};
 pub use catalog::{Column, ColumnType, Database, ForeignKey, Table, TableSchema};
 pub use cost::{explain, Explain};
 pub use error::EngineError;
-pub use exec::{execute_rowwise, execute_rowwise_with_stats, ExecStats, ResultSet};
+pub use exec::{execute, execute_rowwise, ResultSet};
 pub use value::Value;
 
 #[cfg(test)]

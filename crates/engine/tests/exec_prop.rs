@@ -1,5 +1,13 @@
 //! Property tests on execution invariants: relational algebra laws
 //! that must hold for every generated table and predicate.
+//!
+//! The value pools deliberately include the two key-encoding hazards
+//! the engine once got wrong: integers straddling 2⁵³ (which share an
+//! `f64`) and strings embedding U+001F (the old composite-key
+//! separator), so the GROUP BY, DISTINCT and IN-subquery laws run over
+//! them.
+
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
@@ -7,25 +15,58 @@ use nlidb_engine::{execute, ColumnType, Database, TableSchema, Value};
 use nlidb_sqlir::ast::{BinOp, Expr};
 use nlidb_sqlir::QueryBuilder;
 
+const BIG: i64 = 1 << 53;
+
+/// Text pools for `c` and `k`. Besides plain colors they hold (c, k)
+/// pairs whose keys coincide once joined across a U+001F separator:
+/// `("a\u{1f}", "b")` vs `("a", "\u{1f}b")` for raw strings, and
+/// `("a\u{1f}\u{3}b", "c")` vs `("a", "b\u{1f}\u{3}c")` for
+/// [`Value::group_key`]s, which carry a U+0003 text prefix.
+const COLORS: [&str; 8] = [
+    "red",
+    "green",
+    "blue",
+    "cyan",
+    "a",
+    "a\u{1f}",
+    "\u{1f}b",
+    "a\u{1f}\u{3}b",
+];
+const KEYS: [&str; 5] = ["b", "c", "a\u{1f}", "\u{1f}b", "b\u{1f}\u{3}c"];
+
 #[derive(Debug, Clone)]
 struct Row {
     a: i64,
     b: f64,
     c: String,
+    k: String,
     null_b: bool,
+}
+
+fn tricky_int() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -20i64..20,
+        prop::sample::select(vec![BIG, BIG + 1, BIG - 1, -BIG, -(BIG + 1)]),
+    ]
+}
+
+fn text(pool: &[&'static str]) -> impl Strategy<Value = String> {
+    prop::sample::select(pool.to_vec()).prop_map(str::to_string)
 }
 
 fn row_strategy() -> impl Strategy<Value = Row> {
     (
-        -20i64..20,
+        tricky_int(),
         -5i32..5,
-        prop::sample::select(vec!["red", "green", "blue", "cyan"]),
+        text(&COLORS),
+        text(&KEYS),
         prop::bool::weighted(0.15),
     )
-        .prop_map(|(a, b, c, null_b)| Row {
+        .prop_map(|(a, b, c, k, null_b)| Row {
             a,
             b: b as f64 / 2.0,
-            c: c.to_string(),
+            c,
+            k,
             null_b,
         })
 }
@@ -36,7 +77,8 @@ fn build_db(rows: &[Row]) -> Database {
         TableSchema::new("t")
             .column("a", ColumnType::Int)
             .column("b", ColumnType::Float)
-            .column("c", ColumnType::Text),
+            .column("c", ColumnType::Text)
+            .column("k", ColumnType::Text),
     )
     .unwrap();
     for r in rows {
@@ -50,6 +92,7 @@ fn build_db(rows: &[Row]) -> Database {
                     Value::Float(r.b)
                 },
                 Value::Str(r.c.clone()),
+                Value::Str(r.k.clone()),
             ],
         )
         .unwrap();
@@ -149,9 +192,10 @@ proptest! {
         )
         .unwrap();
         prop_assert!(distinct.rows.len() <= all.rows.len());
-        prop_assert!(distinct.rows.len() <= 4, "only four colors exist");
+        let colors: HashSet<&str> = rows.iter().map(|r| r.c.as_str()).collect();
+        prop_assert_eq!(distinct.rows.len(), colors.len());
         // Idempotence: DISTINCT of DISTINCT output changes nothing.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for r in &distinct.rows {
             prop_assert!(seen.insert(r[0].group_key()), "duplicate after DISTINCT");
         }
@@ -178,6 +222,32 @@ proptest! {
             })
             .sum();
         prop_assert_eq!(sum, rows.len() as i64);
+        let colors: HashSet<&str> = rows.iter().map(|r| r.c.as_str()).collect();
+        prop_assert_eq!(grouped.rows.len(), colors.len());
+    }
+
+    #[test]
+    fn composite_keys_never_merge(rows in prop::collection::vec(row_strategy(), 0..40)) {
+        // One group / one DISTINCT row per distinct (c, k) pair and per
+        // distinct `a`, and an equi-join on (c, k) matching only equal
+        // pairs, even when joining c and k across U+001F or rounding a
+        // through f64 would make two keys coincide.
+        let db = build_db(&rows);
+        let run = |sql: &str| execute(&db, &nlidb_sqlir::parse_query(sql).unwrap()).unwrap();
+        let mut pair_counts: HashMap<(&str, &str), usize> = HashMap::new();
+        for r in &rows {
+            *pair_counts.entry((r.c.as_str(), r.k.as_str())).or_default() += 1;
+        }
+        let self_join: usize = pair_counts.values().map(|n| n * n).sum();
+        prop_assert_eq!(
+            run("SELECT x.a FROM t AS x JOIN t AS y ON x.c = y.c AND x.k = y.k").rows.len(),
+            self_join
+        );
+        let ints: HashSet<i64> = rows.iter().map(|r| r.a).collect();
+        prop_assert_eq!(run("SELECT c, k, COUNT(*) FROM t GROUP BY c, k").rows.len(), pair_counts.len());
+        prop_assert_eq!(run("SELECT DISTINCT c, k FROM t").rows.len(), pair_counts.len());
+        prop_assert_eq!(run("SELECT a, COUNT(*) FROM t GROUP BY a").rows.len(), ints.len());
+        prop_assert_eq!(run("SELECT DISTINCT a FROM t").rows.len(), ints.len());
     }
 
     #[test]
@@ -214,12 +284,18 @@ proptest! {
         )
         .unwrap();
         let rs = execute(&db, &q).unwrap();
-        let positive_colors: std::collections::HashSet<&str> = rows
+        let positive_colors: HashSet<&str> = rows
             .iter()
             .filter(|r| r.a > 0)
             .map(|r| r.c.as_str())
             .collect();
         let expected = rows.iter().filter(|r| positive_colors.contains(r.c.as_str())).count();
+        prop_assert_eq!(rs.rows.len(), expected);
+        // Across columns: U+001F-bearing strings match only themselves.
+        let q = nlidb_sqlir::parse_query("SELECT * FROM t WHERE c IN (SELECT k FROM t)").unwrap();
+        let rs = execute(&db, &q).unwrap();
+        let ks: HashSet<&str> = rows.iter().map(|r| r.k.as_str()).collect();
+        let expected = rows.iter().filter(|r| ks.contains(r.c.as_str())).count();
         prop_assert_eq!(rs.rows.len(), expected);
     }
 }
